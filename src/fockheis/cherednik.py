@@ -14,6 +14,7 @@ the offset m - c_eta.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor, gcd
@@ -264,7 +265,9 @@ def p_stability_interval(z: int, p: int, n: int):
 
     The walls are the integers whose residue mod p lies in
     {a * b^{-1} mod p : 0 < -a < b <= n}.  Returns (lo, hi) with None
-    marking an unbounded end (no walls at all).
+    marking an unbounded end (no walls at all).  The ends lie one step
+    inside the nearest wall residues on either side of z mod p, found by
+    bisecting the sorted residues.
     """
     if not _is_prime(p):
         raise InvalidInput(f"p must be prime, got {p}")
@@ -279,15 +282,14 @@ def p_stability_interval(z: int, p: int, n: int):
             walls.add(a * inv_b % p)
     if not walls:
         return (None, None)
-    if z % p in walls:
+    r = z % p
+    if r in walls:
         raise OnWall(f"{z} reduces into the singular set mod {p}")
-    lo = z
-    while (lo - 1) % p not in walls:
-        lo -= 1
-    hi = z
-    while (hi + 1) % p not in walls:
-        hi += 1
-    return (lo, hi)
+    residues = sorted(walls)
+    i = bisect_left(residues, r)
+    above = residues[i % len(residues)]  # wraps past p - 1 to the smallest
+    below = residues[i - 1]  # i = 0 wraps to the largest
+    return (z - (r - below) % p + 1, z + (above - r) % p - 1)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ and the coprime-to-b character pipeline.
 
 Exit codes: 0 success, 2 input validation error, 3 domain error.  Where a
 brute-force reference path exists, --oracle recomputes the result with it
-and fails loudly on any difference.  FOCK_HEIS_CACHE_DIR optionally persists
-character tables between runs.
+and fails loudly on any difference.  The operator subcommands call
+fock.b_op, fock.b_tau and fock.heis_modp, the last in closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import cherednik, fock, oracles, schar, symfunc
@@ -40,10 +39,22 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
+def parse_rational(text: str) -> Fraction:
+    """Parse an exact rational such as '3', '-3/2' or '0.5'."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"cannot parse rational {text!r}") from exc
+
+
 def _parse_json_arg(text: str):
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        path = text[1:]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInput(f"cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -74,7 +85,7 @@ def _oracle_mismatch(got, expected) -> None:
 
 
 # ---------------------------------------------------------------------------
-# input vectors and parallel application
+# input vectors
 
 
 def _input_vector(args) -> fock.FockVector:
@@ -85,38 +96,6 @@ def _input_vector(args) -> fock.FockVector:
     if getattr(args, "eta", None) is not None:
         return fock.FockVector.basis(parse_partition(args.eta))
     raise InvalidInput("supply --vacuum, --eta or --x JSON")
-
-
-def _dispatch_op(op_desc, x: fock.FockVector) -> fock.FockVector:
-    kind = op_desc[0]
-    if kind == "b-op":
-        return fock.b_op(op_desc[1], op_desc[2], x)
-    if kind == "b-tau":
-        return fock.b_tau(op_desc[1], op_desc[2], x)
-    if kind == "heis-modp":
-        return fock.heis_modp(op_desc[1], op_desc[2], op_desc[3], x)
-    raise InvalidInput(f"unknown operator {kind!r}")
-
-
-def _single_term_op(op_desc, eta: Partition) -> fock.FockVector:
-    return _dispatch_op(op_desc, fock.FockVector.basis(eta))
-
-
-def apply_linear(op_desc, x: fock.FockVector, jobs: int = 1) -> fock.FockVector:
-    """Apply a linear operator term by term with a deterministic merge.
-
-    op_desc is a picklable tuple naming the operator and its parameters, so
-    the terms can be farmed out to worker processes.
-    """
-    terms = x.terms()
-    if jobs <= 1 or len(terms) <= 1:
-        return _dispatch_op(op_desc, x)
-    acc = fock.FockVector.zero()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_single_term_op, op_desc, eta) for eta, _ in terms]
-        for (eta, coeff), fut in zip(terms, futures):
-            acc = acc + fut.result().scale(coeff)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +203,10 @@ def cmd_symfunc(args) -> None:
                     oracles.schur_polynomial(lam, nvars), args.b
                 )
                 for e, cc in poly.items():
-                    lhs[e] = lhs.get(e, 0) + int(c) * cc
+                    lhs[e] = lhs.get(e, 0) + c * cc
             lhs = {k: v for k, v in lhs.items() if v}
             expansion = oracles.schur_expansion_in_vars(lhs, nvars, deg)
-            if expansion != {lam: int(c) for lam, c in result.terms.items()}:
+            if expansion != dict(result.terms):
                 _oracle_mismatch(payload, "monomial expansion differs")
             payload["oracle_checked"] = True
         emit(payload)
@@ -236,7 +215,7 @@ def cmd_symfunc(args) -> None:
 def cmd_heis(args) -> None:
     x = _input_vector(args)
     if args.action == "b-op":
-        out = apply_linear(("b-op", args.i, args.b), x, args.jobs)
+        out = fock.b_op(args.i, args.b, x)
         payload = out.to_json()
         if args.oracle:
             # induce with the alternating hook sum and take characteristics
@@ -259,7 +238,7 @@ def cmd_heis(args) -> None:
         emit(payload)
     else:  # b-tau
         tau = parse_partition(args.tau)
-        out = apply_linear(("b-tau", tau, args.b), x, args.jobs)
+        out = fock.b_tau(tau, args.b, x)
         payload = out.to_json()
         if args.oracle:
             g = symfunc.plethysm_pb(symfunc.SymFunc.schur(tau), args.b)
@@ -279,7 +258,7 @@ def cmd_heis(args) -> None:
 def cmd_heis_modp(args) -> None:
     x = _input_vector(args)
     tau = parse_partition(args.tau)
-    out = apply_linear(("heis-modp", tau, args.b, args.p), x, args.jobs)
+    out = fock.heis_modp(tau, args.b, args.p, x)
     emit(out.to_json())
 
 
@@ -288,7 +267,7 @@ def cmd_label_image(args) -> None:
     eta = parse_partition(args.eta)
     tau = parse_partition(args.tau)
     if args.m is not None:
-        label = cherednik.SimpleLabel(eta, Fraction(args.m))
+        label = cherednik.SimpleLabel(eta, parse_rational(args.m))
     else:
         label = cherednik.preferred_label(eta, lam)
     if args.direction == "pos":
@@ -317,7 +296,7 @@ def cmd_stability(args) -> None:
 
 def cmd_verma_hilbert(args) -> None:
     eta = parse_partition(args.eta)
-    series = cherednik.verma_hilbert(eta, Fraction(args.m), args.max_deg)
+    series = cherednik.verma_hilbert(eta, parse_rational(args.m), args.max_deg)
     payload = series.to_json()
     if args.oracle:
         for d in range(args.max_deg + 1):
@@ -465,7 +444,6 @@ def _vector_flags(parser) -> None:
     parser.add_argument("--vacuum", action="store_true", help="start from the empty partition")
     parser.add_argument("--eta", help="single basis partition")
     parser.add_argument("--x", help="Fock vector as JSON (or @file)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers over basis terms")
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,11 @@ Operators:
 
 Multiplication by s_tau[p_b] is evaluated through the power-sum pivot
 (border-strip chains weighted by characters); the agreement with the
-iterated-Pieri product of symfunc is part of the test suite.
+iterated-Pieri product of symfunc is part of the test suite.  heis_modp
+uses the same pivot in closed form, multiplication by sum_rho chi_tau(rho)/
+z_rho prod_{k in rho} (1 - v^{b p k}) p_{b rho} (Macdonald, Symmetric
+Functions and Hall Polynomials, I 7-8), which vanishes at v = 1 by
+construction; oracles.heis_modp_koszul keeps the Koszul layers as reference.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 from . import schar, young
 from .errors import ConjecturalDisabled, InvalidInput
@@ -357,9 +362,9 @@ def b_op(i: int, b: int, x: FockVector) -> FockVector:
 
 @cache
 def _plethysm_power_form(tau: tuple, b: int) -> tuple:
-    """s_tau[p_b] in the power-sum basis: ((chain, numerator, denominator), ...).
+    """d! * s_tau[p_b] in the power-sum basis: ((chain, weight), ...), d = |tau|.
 
-    chain is b*rho sorted descending; the coefficient is chi_tau(rho)/z_rho.
+    chain is b*rho sorted descending; weight = chi_tau(rho) * d!/z_rho.
     """
     d = sum(tau)
     out = []
@@ -367,27 +372,32 @@ def _plethysm_power_form(tau: tuple, b: int) -> tuple:
         chi = young.mn_character(tau, tuple(rho))
         if chi:
             chain = tuple(sorted((b * x for x in rho), reverse=True))
-            out.append((chain, chi, schar.centralizer_order(rho)))
+            out.append((chain, chi * schar.class_size(rho)))
+    return tuple(out)
+
+
+def _integer_terms(acc: dict, den: int) -> tuple:
+    """The nonzero entries of {mu: c / den} as ((mu, int), ...); c / den is integral."""
+    out = []
+    for mu, c in acc.items():
+        if c:
+            q, r = divmod(c, den)
+            if r:
+                raise ArithmeticError(
+                    f"non-integer coefficient {Fraction(c, den)} in plethysm multiplication"
+                )
+            out.append((mu, q))
     return tuple(out)
 
 
 @cache
 def _b_tau_on_basis(tau: tuple, b: int, eta: tuple) -> tuple:
     """Schur expansion of s_tau[p_b] * s_eta as ((mu, int), ...)."""
-    acc: dict[tuple, Fraction] = {}
-    for chain, num, den in _plethysm_power_form(tau, b):
-        c = Fraction(num, den)
+    acc: dict[tuple, int] = {}
+    for chain, w in _plethysm_power_form(tau, b):
         for mu, k in young.powersum_chain_on_basis(chain, eta):
-            acc[mu] = acc.get(mu, Fraction(0)) + c * k
-    out = []
-    for mu, c in acc.items():
-        if c:
-            if c.denominator != 1:
-                raise ArithmeticError(
-                    f"non-integer coefficient {c} in plethysm multiplication"
-                )
-            out.append((mu, int(c)))
-    return tuple(out)
+            acc[mu] = acc.get(mu, 0) + w * k
+    return _integer_terms(acc, factorial(sum(tau)))
 
 
 def b_tau(tau, b: int, x: FockVector) -> FockVector:
@@ -416,10 +426,27 @@ def b_rep(U: schar.VirtualRep, b: int):
 
 
 @cache
-def _koszul_layer(tau: tuple, i: int) -> "schar.VirtualRep":
-    """Decomposition of tau (x) Lambda^i of the permutation representation."""
-    d = sum(tau)
-    return schar.kronecker_product(Partition(tau), schar.exterior_power_perm(d, i))
+def _heis_modp_on_basis(tau: tuple, b: int, eta: tuple) -> tuple:
+    """Kernels (K_0, ..., K_d) with heis_modp(s_eta) = sum_j v^{b p j} K_j(s_eta).
+
+    The chain b*rho enters K_j with its _plethysm_power_form weight times the
+    coefficient of s^j in prod_{k in rho} (1 - s^k), over the denominator d!.
+    """
+    acc: list[dict[tuple, int]] = [{} for _ in range(sum(tau) + 1)]
+    for chain, weight in _plethysm_power_form(tau, b):
+        weights = [weight]
+        for part in chain:
+            k = part // b
+            weights += [0] * k
+            for j in range(len(weights) - 1, k - 1, -1):
+                weights[j] -= weights[j - k]
+        terms = young.powersum_chain_on_basis(chain, eta)
+        for layer, w in zip(acc, weights):
+            if w:
+                for mu, c in terms:
+                    layer[mu] = layer.get(mu, 0) + w * c
+    n_fact = factorial(sum(tau))
+    return tuple(_integer_terms(layer, n_fact) for layer in acc)
 
 
 def heis_modp(tau, b: int, p: int, x: FockVector) -> FockVector:
@@ -427,7 +454,8 @@ def heis_modp(tau, b: int, p: int, x: FockVector) -> FockVector:
 
     Here Lambda^i C^d is the i-th exterior power of the permutation
     representation of S_d, d = |tau| >= 1, and v^{b p} is the grading shift
-    contributed by one Koszul step in characteristic p.
+    contributed by one Koszul step in characteristic p.  Evaluated in
+    closed form as sum_j v^{b p j} K_j, see the module docstring.
     """
     tau = Partition(tau)
     d = tau.size
@@ -438,11 +466,13 @@ def heis_modp(tau, b: int, p: int, x: FockVector) -> FockVector:
     if p < 2:
         raise InvalidInput(f"p must be at least 2, got {p}")
     _warn_exponents(x, b)
+    key = tuple(tau)
     acc = FockVector.zero()
-    for i in range(d + 1):
-        U = _koszul_layer(tuple(tau), i)
-        piece = b_rep(U, b)(x).shift(Fraction(b * p * i))
-        acc = acc + piece if i % 2 == 0 else acc - piece
+    for j in range(d + 1):
+        # shifting the input commutes with the kernel and touches fewer terms
+        acc = acc + x.shift(b * p * j).map_basis(
+            lambda eta: _heis_modp_on_basis(key, b, eta)[j]
+        )
     return acc
 
 

@@ -4,18 +4,20 @@ Each function here recomputes something the fast modules produce, by a
 route as close to the defining combinatorics as possible: tableau
 enumeration for Littlewood-Richardson numbers, Gram-Schmidt on permutation
 characters for character tables, explicit matrices for exterior powers,
-monomial enumeration for polynomial identities.  They back the --oracle
-mode of the command line tool and the dual-path checks in the test suite.
+monomial enumeration for polynomial identities, Koszul layers for the
+graded mod-p operator.  They back the --oracle mode of the command line
+tool and the dual-path checks in the test suite.
 Nothing here is optimized; keep inputs small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import factorial
 
-from . import schar
+from . import fock, schar
 from .errors import InvalidInput
 from .partitions import Partition, canonical_key, partitions_of
 
@@ -236,6 +238,28 @@ def exterior_power_hook_form(d: int, i: int) -> "schar.VirtualRep":
             Partition([d - i + 1] + [1] * (i - 1)): 1,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# the graded mod-p operator layer by layer
+
+
+@cache
+def _koszul_layer(tau: tuple, i: int) -> "schar.VirtualRep":
+    """Decomposition of tau (x) Lambda^i of the permutation representation."""
+    d = sum(tau)
+    return schar.kronecker_product(Partition(tau), schar.exterior_power_perm(d, i))
+
+
+def heis_modp_koszul(tau, b: int, p: int, x: "fock.FockVector") -> "fock.FockVector":
+    """fock.heis_modp as sum_i (-1)^i v^{b p i} b_rep(tau (x) Lambda^i)(x)."""
+    tau = Partition(tau)
+    acc = fock.FockVector.zero()
+    for i in range(tau.size + 1):
+        U = _koszul_layer(tuple(tau), i)
+        piece = fock.b_rep(U, b)(x).shift(Fraction(b * p * i))
+        acc = acc + piece if i % 2 == 0 else acc - piece
+    return acc
 
 
 # ---------------------------------------------------------------------------

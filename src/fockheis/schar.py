@@ -5,16 +5,11 @@ class sizes, induction products (Littlewood-Richardson), internal tensor
 products and exterior powers of the permutation representation are built on
 top.  Everything is integer arithmetic.
 
-Character tables are memoized per n.  If the environment variable
-FOCK_HEIS_CACHE_DIR names a directory, tables are also persisted there as
-plain JSON files addressed by n; the cache never changes results.
+Character tables are memoized per n within the process.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -60,61 +55,12 @@ def character_table(n: int) -> dict:
     """Full character table of S_n as {(lam, mu): chi_lam(mu)}."""
     if n < 0:
         raise RangeError(f"n must be nonnegative, got {n}")
-    cached = _load_cached_table(n)
-    if cached is not None:
-        return cached
     parts = list(partitions_of(n))
-    table = {
+    return {
         (lam, mu): young.mn_character(tuple(lam), tuple(mu))
         for lam in parts
         for mu in parts
     }
-    _store_cached_table(n, table)
-    return table
-
-
-def _cache_path(n: int) -> str | None:
-    root = os.environ.get("FOCK_HEIS_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, f"sn_character_table_{n}.json")
-
-
-def _load_cached_table(n: int):
-    path = _cache_path(n)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("n") != n:
-            return None
-        return {
-            (Partition(e["lam"]), Partition(e["mu"])): int(e["value"])
-            for e in data["entries"]
-        }
-    except (OSError, ValueError, KeyError, TypeError):
-        return None  # unreadable cache falls back to recomputation
-
-
-def _store_cached_table(n: int, table: dict) -> None:
-    path = _cache_path(n)
-    if path is None:
-        return
-    entries = [
-        {"lam": list(lam), "mu": list(mu), "value": v}
-        for (lam, mu), v in sorted(
-            table.items(), key=lambda kv: (canonical_key(kv[0][0]), canonical_key(kv[0][1]))
-        )
-    ]
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump({"n": n, "entries": entries}, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # persistence is best effort
 
 
 @dataclass(frozen=True)

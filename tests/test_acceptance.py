@@ -124,12 +124,15 @@ def test_criterion_05_modp_vanishing():
         for d in range(1, 5):
             for tau in partitions_of(d):
                 for mu in partitions_upto(10):
-                    out = heis_modp(tau, b, p, FockVector.basis(mu))
+                    x = FockVector.basis(mu)
+                    out = heis_modp(tau, b, p, x)
                     # all v-exponents are multiples of b*p, so v -> 1 realizes
                     # the formal substitution v^{bp} -> 1
                     if not out.at_v_one().is_zero():
                         failures.append((b, tuple(tau), tuple(mu)))
-    _report(5, "mod-p specialization annihilates, d<=4 deg<=10", failures)
+                    if out != oracles.heis_modp_koszul(tau, b, p, x):
+                        failures.append(("koszul", b, tuple(tau), tuple(mu)))
+    _report(5, "mod-p closed form vs Koszul layers + annihilation, d<=4 deg<=10", failures)
 
 
 def _exhaustive_coprime_decompositions(eta, b):

@@ -291,6 +291,10 @@ class TestStabilityInterval:
         with pytest.raises(OnWall):
             p_stability_interval(3, 7, 2)
 
+    def test_large_prime(self):
+        # the single wall residue is -1/2 = 500000003 mod p
+        assert p_stability_interval(0, 1000000007, 2) == (-500000003, 500000002)
+
     def test_validation(self):
         with pytest.raises(InvalidInput):
             p_stability_interval(0, 6, 2)  # composite

@@ -108,6 +108,19 @@ class TestSubcommands:
             {"mu": [2, 2], "coeff": "1"},
         ]
 
+    def test_symfunc_plethysm_rational_oracle(self, capsys):
+        f = json.dumps({"basis": "schur", "terms": [{"mu": [1], "coeff": "1/2"}]})
+        code, out, _ = run(
+            capsys, "symfunc", "plethysm", "--f", f, "--b", "2", "--oracle"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["oracle_checked"] is True
+        assert data["terms"] == [
+            {"mu": [2], "coeff": "1/2"},
+            {"mu": [1, 1], "coeff": "-1/2"},
+        ]
+
     def test_heis_b_op(self, capsys):
         code, out, _ = run(
             capsys, "heis", "b-op", "--i", "1", "--b", "3", "--vacuum"
@@ -243,6 +256,24 @@ class TestExitCodes:
         assert code == 3
         assert "error" in json.loads(err)
 
+    def test_missing_vector_file_is_2(self, capsys, tmp_path):
+        missing = tmp_path / "nonexistent.json"
+        code, out, err = run(
+            capsys, "heis-modp", "--tau", "1", "--b", "2", "--p", "7", "--x", f"@{missing}"
+        )
+        assert code == 2 and out == ""
+        assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("m", ["x", "1/0"])
+    def test_malformed_m_is_2(self, capsys, m):
+        for argv in (
+            ["label-image", "pos", "--eta", "3", "--tau", "1", "--a", "1", "--b", "3"],
+            ["verma-hilbert", "--eta", "2", "--max-deg", "3"],
+        ):
+            code, out, err = run(capsys, *argv, "--m", m)
+            assert code == 2 and out == ""
+            assert "error" in json.loads(err)
+
     def test_missing_table_is_3(self, capsys):
         code, _, err = run(
             capsys, "pipeline", "--eta", "2", "--a", "1", "--b", "2", "--p", "5",
@@ -261,22 +292,3 @@ class TestDeterminismAndJobs:
         b = subprocess.run(cmd, capture_output=True, check=True).stdout
         assert a == b
 
-    def test_jobs_merge_matches_serial(self, capsys):
-        x = json.dumps(
-            {
-                "terms": [
-                    {"mu": [2], "coeff": {"monomials": [{"vexp": "0", "c": "1"}]}},
-                    {"mu": [1, 1], "coeff": {"monomials": [{"vexp": "1/2", "c": "2"}]}},
-                    {"mu": [3], "coeff": {"monomials": [{"vexp": "0", "c": "-1"}]}},
-                ]
-            }
-        )
-        code1, out1, _ = run(
-            capsys, "heis-modp", "--tau", "1", "--b", "2", "--p", "3", "--x", x
-        )
-        code2, out2, _ = run(
-            capsys, "heis-modp", "--tau", "1", "--b", "2", "--p", "3", "--x", x,
-            "--jobs", "2",
-        )
-        assert code1 == code2 == 0
-        assert out1 == out2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockheis import symfunc
+from fockheis import oracles, symfunc
 from fockheis.errors import ConjecturalDisabled, InvalidInput
 from fockheis.fock import (
     ExponentDenominatorWarning,
@@ -245,6 +245,40 @@ class TestHeisModP:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             heis_modp([1], 2, 3, x_ok)
+
+
+_SMALL_PARTITIONS = list(partitions_upto(5))
+_TAUS = [tau for tau in partitions_upto(4) if tau]
+
+
+@st.composite
+def modp_case(draw):
+    b = draw(st.sampled_from((2, 3)))
+    exponent_st = st.integers(min_value=-12, max_value=12).map(
+        lambda k: Fraction(k, 2 * b)
+    )
+    coeff_st = st.dictionaries(
+        exponent_st, rational_st.filter(bool), min_size=1, max_size=3
+    )
+    terms = draw(
+        st.dictionaries(
+            st.sampled_from(_SMALL_PARTITIONS),
+            coeff_st.map(LaurentScalar),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    tau = draw(st.sampled_from(_TAUS))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    return tau, b, p, FockVector(terms)
+
+
+class TestHeisModPOracle:
+    @given(modp_case())
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_koszul_layers(self, case):
+        tau, b, p, x = case
+        assert heis_modp(tau, b, p, x) == oracles.heis_modp_koszul(tau, b, p, x)
 
 
 class TestHeisNeg:

@@ -200,25 +200,3 @@ class TestVirtualRepPlumbing:
         with pytest.raises(InvalidInput):
             decompose_character(3, values)
 
-
-class TestDiskCache:
-    def test_cache_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FOCK_HEIS_CACHE_DIR", str(tmp_path))
-        character_table.cache_clear()
-        fresh = character_table(5)
-        files = list(tmp_path.glob("sn_character_table_5.json"))
-        assert len(files) == 1
-        character_table.cache_clear()
-        reloaded = character_table(5)
-        assert reloaded == fresh
-        character_table.cache_clear()
-        monkeypatch.delenv("FOCK_HEIS_CACHE_DIR")
-
-    def test_corrupt_cache_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FOCK_HEIS_CACHE_DIR", str(tmp_path))
-        (tmp_path / "sn_character_table_4.json").write_text("not json")
-        character_table.cache_clear()
-        table = character_table(4)
-        assert table[(Partition([4]), Partition([4]))] == 1
-        character_table.cache_clear()
-        monkeypatch.delenv("FOCK_HEIS_CACHE_DIR")
