@@ -216,6 +216,8 @@ def simple_image_neg(label: SimpleLabel, tau, lam_minus: ParamLambda) -> list:
         raise InvalidParam(
             f"parameter {lam_minus.a}/{lam_minus.b} must be below -1"
         )
+    if (label.m * lam_minus.b).denominator != 1:
+        raise InvalidInput(f"lowest degree {label.m} is not in (1/{lam_minus.b})Z")
     if not tau:
         return [(label, 1)]
     b = lam_minus.b
@@ -249,17 +251,6 @@ def possible_supports(n: int, b: int) -> list[tuple[int, int, int]]:
     return [(n - b * l, l, n - b * l + l) for l in range(n // b + 1)]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def p_stability_interval(z: int, p: int, n: int):
     """Maximal integer interval around z avoiding the singular residues mod p.
 
@@ -269,7 +260,7 @@ def p_stability_interval(z: int, p: int, n: int):
     inside the nearest wall residues on either side of z mod p, found by
     bisecting the sorted residues.
     """
-    if not _is_prime(p):
+    if not fock.is_prime(p):
         raise InvalidInput(f"p must be prime, got {p}")
     if n < 1:
         raise RangeError(f"n must be positive, got {n}")
@@ -383,6 +374,8 @@ def character_pipeline(eta, lam: ParamLambda, p: int, coprime_table: dict) -> "f
     eta = Partition(eta)
     if lam.value <= 0:
         raise InvalidParam(f"parameter {lam.a}/{lam.b} must be positive")
+    if not fock.is_prime(p):
+        raise InvalidInput(f"p must be prime, got {p}")
     table = {Partition(k): v for k, v in coprime_table.items()}
     mu, tau = _decompose(eta, lam.b)
     if not tau:

@@ -6,6 +6,12 @@ exact rationals.  Multiplication by v encodes a grading shift of 1/b, so
 vectors model graded classes expanded in standard-module classes whose own
 lowest degrees are the zero points of their v-exponents.
 
+Vectors are stored grade-sliced, {v-exponent: {partition: int | Fraction}}.
+Every raising operator below has integer coefficients and commutes with
+multiplication by v, so it acts on each slice separately in plain integer
+arithmetic; a Fraction appears only where the input is rational, and
+LaurentScalar is the value type handed out for one coefficient.
+
 Operators:
 
 * b_op(i, b, .)       multiplication by the power sum p_{i b},
@@ -35,7 +41,7 @@ from functools import cache
 from math import factorial
 
 from . import schar, young
-from .errors import ConjecturalDisabled, InvalidInput
+from .errors import ConjecturalDisabled, InvalidInput, RangeError
 from .partitions import Partition, canonical_key, partitions_of, transpose
 
 
@@ -183,14 +189,44 @@ class LaurentScalar:
             return cls(
                 {Fraction(m["vexp"]): Fraction(m["c"]) for m in data["monomials"]}
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"malformed Laurent scalar JSON: {data!r}") from exc
 
 
-class FockVector:
-    """Finite combination of partition basis vectors with LaurentScalar coefficients."""
+def _tidy(acc: dict) -> dict:
+    """acc without its zero entries, integral Fractions stored as int."""
+    out = {mu: c for mu, c in acc.items() if c}
+    if Fraction in set(map(type, out.values())):
+        for mu, c in out.items():
+            if type(c) is Fraction and c.denominator == 1:
+                out[mu] = c.numerator
+    return out
 
-    __slots__ = ("_terms",)
+
+def _merge(a: dict, b: dict) -> dict:
+    """The sum of two grade slices, tidied."""
+    acc = dict(a)
+    get = acc.get
+    for mu, c in b.items():
+        acc[mu] = get(mu, 0) + c
+    return _tidy(acc)
+
+
+class FockVector:
+    """Finite combination of partition basis vectors with Laurent-polynomial
+    coefficients in v.
+
+    Stored grade-sliced: _g maps a v-exponent (a Fraction) to its slice
+    {Partition: coefficient}, the coefficient of v^e in front of each basis
+    vector.  Coefficients are ints, with a Fraction only where the value is
+    not integral; no slice and no slice entry is zero.  Slices are never
+    mutated once stored, so vectors share them freely.  The integer kernels
+    of the raising operators act on each slice in plain int arithmetic;
+    LaurentScalar coefficients are built only on request (coefficient,
+    terms, to_json).
+    """
+
+    __slots__ = ("_g",)
 
     def __init__(self, terms=None):
         t: dict[Partition, LaurentScalar] = {}
@@ -198,15 +234,18 @@ class FockVector:
             for eta, c in dict(terms).items():
                 if isinstance(c, (int, Fraction)):
                     c = LaurentScalar.from_rational(c)
-                if c:
-                    t[Partition(eta)] = c
-        self._terms = t
+                t[Partition(eta)] = c
+        g: dict[Fraction, dict] = {}
+        for eta, c in t.items():
+            for e, k in c._m.items():
+                g.setdefault(e, {})[eta] = k.numerator if k.denominator == 1 else k
+        self._g = g
 
     @classmethod
-    def _raw(cls, terms: dict) -> "FockVector":
-        # internal fast path: Partition keys, nonzero LaurentScalar values
+    def _raw(cls, g: dict) -> "FockVector":
+        # internal fast path: g holds tidy, nonempty slices keyed by Fractions
         self = object.__new__(cls)
-        self._terms = terms
+        self._g = g
         return self
 
     @classmethod
@@ -222,97 +261,110 @@ class FockVector:
         return cls({Partition(eta): coeff})
 
     def coefficient(self, eta) -> LaurentScalar:
-        return self._terms.get(Partition(eta), LaurentScalar.zero())
+        eta = Partition(eta)
+        return LaurentScalar._raw(
+            {e: Fraction(s[eta]) for e, s in self._g.items() if eta in s}
+        )
 
     def terms(self):
         """(partition, coefficient) pairs in canonical partition order."""
-        return sorted(self._terms.items(), key=lambda kv: canonical_key(kv[0]))
+        by_eta: dict[Partition, dict] = {}
+        for e, s in self._g.items():
+            for eta, c in s.items():
+                by_eta.setdefault(eta, {})[e] = Fraction(c)
+        return [
+            (eta, LaurentScalar._raw(by_eta[eta]))
+            for eta in sorted(by_eta, key=canonical_key)
+        ]
 
     def support(self):
-        return set(self._terms)
+        return set().union(*self._g.values())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._g
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._g)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FockVector) and self._terms == other._terms
+        return isinstance(other, FockVector) and self._g == other._g
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        acc = dict(self._terms)
-        for eta, c in other._terms.items():
-            cur = acc.get(eta)
+        g = dict(self._g)
+        for e, s in other._g.items():
+            cur = g.get(e)
             if cur is None:
-                acc[eta] = c
+                g[e] = s
             else:
-                cur = cur + c
+                cur = _merge(cur, s)
                 if cur:
-                    acc[eta] = cur
+                    g[e] = cur
                 else:
-                    del acc[eta]
-        return FockVector._raw(acc)
+                    del g[e]
+        return FockVector._raw(g)
 
     def __neg__(self) -> "FockVector":
-        return FockVector._raw({eta: -c for eta, c in self._terms.items()})
+        return FockVector._raw(
+            {e: {eta: -c for eta, c in s.items()} for e, s in self._g.items()}
+        )
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-other)
 
     def scale(self, scalar) -> "FockVector":
-        if isinstance(scalar, (int, Fraction)) and not scalar:
+        """Multiply by an int, a Fraction or a LaurentScalar."""
+        if isinstance(scalar, LaurentScalar):
+            acc = FockVector._raw({})
+            for e, c in scalar.monomials():
+                acc = acc + self.shift(e).scale(c)
+            return acc
+        if not scalar:
             return FockVector._raw({})
-        return FockVector._raw({eta: scalar * c for eta, c in self._terms.items()})
+        return FockVector._raw(
+            {e: _tidy({eta: c * scalar for eta, c in s.items()}) for e, s in self._g.items()}
+        )
 
     def shift(self, e) -> "FockVector":
         """Multiply every coefficient by v^e."""
-        return FockVector._raw({eta: c.shift(e) for eta, c in self._terms.items()})
+        e = Fraction(e)
+        return FockVector._raw({e0 + e: s for e0, s in self._g.items()})
 
     def at_v_one(self) -> "FockVector":
         """Formal substitution v -> 1 in every coefficient."""
-        out = {}
-        for eta, c in self._terms.items():
-            value = c.at_one()
-            if value:
-                out[eta] = LaurentScalar._raw({_ZERO: value})
-        return FockVector._raw(out)
+        acc: dict[Partition, int | Fraction] = {}
+        for s in self._g.values():
+            acc = _merge(acc, s)
+        return FockVector._raw({_ZERO: acc} if acc else {})
 
     def map_basis(self, kernel) -> "FockVector":
         """Apply a linear map given on basis partitions by an integer kernel.
 
-        kernel(parts tuple) must return ((parts tuple, int), ...).
+        kernel(eta) must return ((Partition, int), ...).  The kernel runs
+        over each grade slice in plain integer arithmetic.
         """
-        acc: dict[Partition, LaurentScalar] = {}
-        wrap = Partition._from_trusted
-        for eta, c in self._terms.items():
-            for mu, k in kernel(tuple(eta)):
-                key = wrap(mu)
-                add = c * k
-                cur = acc.get(key)
-                if cur is None:
-                    acc[key] = add
-                else:
-                    cur = cur + add
-                    if cur:
-                        acc[key] = cur
-                    else:
-                        del acc[key]
-        return FockVector._raw(acc)
+        g = {}
+        for e, s in self._g.items():
+            acc: dict[Partition, int | Fraction] = {}
+            get = acc.get
+            for eta, c in s.items():
+                for mu, k in kernel(eta):
+                    acc[mu] = get(mu, 0) + c * k
+            acc = _tidy(acc)
+            if acc:
+                g[e] = acc
+        return FockVector._raw(g)
 
     def transpose_basis(self) -> "FockVector":
         """The involution sending each basis partition to its transpose."""
         return FockVector._raw(
-            {transpose(eta): c for eta, c in self._terms.items()}
+            {e: {transpose(eta): c for eta, c in s.items()} for e, s in self._g.items()}
         )
 
     def min_exponent(self) -> Fraction | None:
-        exps = [c.min_exponent() for c in self._terms.values()]
-        exps = [e for e in exps if e is not None]
-        return min(exps) if exps else None
+        return min(self._g) if self._g else None
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._g:
             return "FockVector(0)"
         bits = [f"({c!r})*[{tuple(eta)}]" for eta, c in self.terms()]
         return "FockVector(" + " + ".join(bits) + ")"
@@ -340,8 +392,8 @@ class FockVector:
 def _warn_exponents(x: FockVector, b: int) -> None:
     # grading conventions place all exponents in (1/(2b)) Z; outliers are
     # suspicious but not fatal, so this only warns
-    for _, c in x.terms():
-        if not c.exponents_in_lattice(2 * b):
+    for e in x._g:
+        if (e * 2 * b).denominator != 1:
             warnings.warn(
                 f"v-exponents outside (1/{2*b})Z detected",
                 ExponentDenominatorWarning,
@@ -357,7 +409,10 @@ def b_op(i: int, b: int, x: FockVector) -> FockVector:
     if b < 1:
         raise InvalidInput(f"b must be a positive integer, got {b}")
     r = i * b
-    return x.map_basis(lambda eta: young.powersum_times_basis(r, eta))
+    wrap = Partition._from_trusted
+    return x.map_basis(
+        lambda eta: [(wrap(mu), k) for mu, k in young.powersum_times_basis(r, eta)]
+    )
 
 
 @cache
@@ -377,7 +432,8 @@ def _plethysm_power_form(tau: tuple, b: int) -> tuple:
 
 
 def _integer_terms(acc: dict, den: int) -> tuple:
-    """The nonzero entries of {mu: c / den} as ((mu, int), ...); c / den is integral."""
+    """The nonzero entries of {mu: c / den} as ((Partition, int), ...); c / den
+    is integral."""
     out = []
     for mu, c in acc.items():
         if c:
@@ -386,13 +442,13 @@ def _integer_terms(acc: dict, den: int) -> tuple:
                 raise ArithmeticError(
                     f"non-integer coefficient {Fraction(c, den)} in plethysm multiplication"
                 )
-            out.append((mu, q))
+            out.append((Partition._from_trusted(mu), q))
     return tuple(out)
 
 
 @cache
 def _b_tau_on_basis(tau: tuple, b: int, eta: tuple) -> tuple:
-    """Schur expansion of s_tau[p_b] * s_eta as ((mu, int), ...)."""
+    """Schur expansion of s_tau[p_b] * s_eta as ((Partition, int), ...)."""
     acc: dict[tuple, int] = {}
     for chain, w in _plethysm_power_form(tau, b):
         for mu, k in young.powersum_chain_on_basis(chain, eta):
@@ -407,7 +463,8 @@ def b_tau(tau, b: int, x: FockVector) -> FockVector:
         raise InvalidInput(f"b must be a positive integer, got {b}")
     if not tau:
         return x
-    return x.map_basis(lambda eta: _b_tau_on_basis(tuple(tau), b, eta))
+    key = tuple(tau)
+    return x.map_basis(lambda eta: _b_tau_on_basis(key, b, eta))
 
 
 def b_rep(U: schar.VirtualRep, b: int):
@@ -449,6 +506,44 @@ def _heis_modp_on_basis(tau: tuple, b: int, eta: tuple) -> tuple:
     return tuple(_integer_terms(layer, n_fact) for layer in acc)
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# psi_13, the least strong pseudoprime to all of them (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", 2017); 12 bases stop at
+# psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for p below 3.3 * 10^24.
+
+    Raises RangeError from that bound on, where the fixed bases no longer
+    decide primality.
+    """
+    if p >= _MR_BOUND:
+        raise RangeError(f"primality of p is only decided below {_MR_BOUND}, got {p}")
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while not d % 2:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def heis_modp(tau, b: int, p: int, x: FockVector) -> FockVector:
     """Graded raising operator sum_i (-1)^i v^{b p i} b_{tau (x) Lambda^i C^d}.
 
@@ -463,17 +558,22 @@ def heis_modp(tau, b: int, p: int, x: FockVector) -> FockVector:
         raise InvalidInput("tau must be a nonempty partition")
     if b < 1:
         raise InvalidInput(f"b must be a positive integer, got {b}")
-    if p < 2:
-        raise InvalidInput(f"p must be at least 2, got {p}")
+    if not is_prime(p):
+        raise InvalidInput(f"p must be prime, got {p}")
     _warn_exponents(x, b)
     key = tuple(tau)
-    acc = FockVector.zero()
-    for j in range(d + 1):
-        # shifting the input commutes with the kernel and touches fewer terms
-        acc = acc + x.shift(b * p * j).map_basis(
-            lambda eta: _heis_modp_on_basis(key, b, eta)[j]
-        )
-    return acc
+    shifts = [Fraction(b * p * j) for j in range(d + 1)]
+    g: dict[Fraction, dict] = {}
+    for e, s in x._g.items():
+        # slices of different exponents can land on the same one
+        accs = [g.setdefault(e + shift, {}) for shift in shifts]
+        for eta, c in s.items():
+            for acc, layer in zip(accs, _heis_modp_on_basis(key, b, eta)):
+                get = acc.get
+                for mu, k in layer:
+                    acc[mu] = get(mu, 0) + c * k
+    g = {e: _tidy(acc) for e, acc in g.items()}
+    return FockVector._raw({e: s for e, s in g.items() if s})
 
 
 def heis_neg(tau, b: int, p: int, x: FockVector, conjectural_flag: bool = False) -> FockVector:

@@ -105,7 +105,7 @@ class SymFunc:
                 data["basis"],
                 {Partition(t["mu"]): Fraction(t["coeff"]) for t in data["terms"]},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"malformed symmetric function JSON: {data!r}") from exc
 
 

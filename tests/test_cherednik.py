@@ -220,6 +220,12 @@ class TestSimpleImageNeg:
         images = {tuple(l.eta): mult for l, mult in out}
         assert images == {(2, 2, 1, 1): 1, (3, 3): 1}
 
+    def test_rejects_m_outside_lattice(self):
+        # the same (1/b)Z check as simple_image_pos
+        lamm = ParamLambda(-5, 2)
+        with pytest.raises(InvalidInput):
+            simple_image_neg(SimpleLabel(Partition([1]), Fraction(1, 3)), [1], lamm)
+
     def test_rejects_parameters_at_least_minus_one(self):
         lab = SimpleLabel(Partition([1]), Fraction(0))
         with pytest.raises(InvalidParam):
@@ -295,7 +301,13 @@ class TestStabilityInterval:
         # the single wall residue is -1/2 = 500000003 mod p
         assert p_stability_interval(0, 1000000007, 2) == (-500000003, 500000002)
 
+    def test_eighteen_digit_prime(self):
+        # 10^18 + 3 is prime; its wall residue is -1/2 = (p - 1)/2
+        assert p_stability_interval(0, 10**18 + 3, 2) == (-(10**17 * 5 + 1), 10**17 * 5)
+
     def test_validation(self):
+        with pytest.raises(InvalidInput):
+            p_stability_interval(0, 561, 2)  # Carmichael number
         with pytest.raises(InvalidInput):
             p_stability_interval(0, 6, 2)  # composite
         with pytest.raises(InvalidInput):

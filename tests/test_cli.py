@@ -274,6 +274,50 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heis", "b-op", "--i", "1", "--b", "2", "--x",
+             '{"terms":[{"mu":[1],"coeff":{"monomials":[{"vexp":"1/0","c":"1"}]}}]}'],
+            ["symfunc", "plethysm", "--b", "2", "--f",
+             '{"basis":"schur","terms":[{"mu":[1],"coeff":"1/0"}]}'],
+        ],
+        ids=["vector", "symfunc"],
+    )
+    def test_zero_denominator_in_json_is_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heis-modp", "--tau", "1", "--b", "2", "--vacuum"],
+            ["pipeline", "--eta", "4", "--a", "1", "--b", "2", "--unit-table"],
+            ["pipeline", "--eta", "1", "--a", "1", "--b", "2", "--unit-table"],
+        ],
+        ids=["heis-modp", "pipeline", "pipeline-coprime"],
+    )
+    def test_composite_p_is_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--p", "4")
+        assert code == 2 and out == ""
+        assert "error" in json.loads(err)
+
+    def test_large_prime_stability_interval(self, capsys):
+        # 10^18 + 3 is prime; trial division up to its square root does not finish
+        code, out, _ = run(
+            capsys, "stability-interval", "--z", "0", "--p", "1000000000000000003", "--n", "2"
+        )
+        assert code == 0
+        assert json.loads(out) == {"lo": -500000000000000001, "hi": 500000000000000000}
+
+    def test_label_image_neg_m_off_lattice_is_2(self, capsys):
+        argv = ["--eta", "1", "--m", "1/3", "--tau", "1", "--b", "2"]
+        for side, a in (("pos", "1"), ("neg", "-5")):
+            code, out, err = run(capsys, "label-image", side, *argv, "--a", a)
+            assert code == 2 and out == ""
+            assert "(1/2)Z" in json.loads(err)["error"]
+
     def test_missing_table_is_3(self, capsys):
         code, _, err = run(
             capsys, "pipeline", "--eta", "2", "--a", "1", "--b", "2", "--p", "5",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockheis import oracles, symfunc
-from fockheis.errors import ConjecturalDisabled, InvalidInput
+from fockheis.errors import ConjecturalDisabled, InvalidInput, RangeError
 from fockheis.fock import (
     ExponentDenominatorWarning,
     FockVector,
@@ -17,6 +17,7 @@ from fockheis.fock import (
     b_tau,
     heis_modp,
     heis_neg,
+    is_prime,
 )
 from fockheis.partitions import Partition, partitions_of, partitions_upto, transpose
 from fockheis.schar import VirtualRep, induction_product
@@ -85,6 +86,24 @@ class TestFockVector:
             }
         )
         assert FockVector.from_json(json.loads(json.dumps(x.to_json()))) == x
+
+    def test_zero_denominator_in_json(self):
+        data = {"terms": [{"mu": [1], "coeff": {"monomials": [{"vexp": "1/0", "c": "1"}]}}]}
+        with pytest.raises(InvalidInput):
+            FockVector.from_json(data)
+
+    def test_scale_by_laurent_scalar(self):
+        x = FockVector({Partition([2]): LaurentScalar({0: 1, 1: Fraction(1, 2)})})
+        s = LaurentScalar({Fraction(1, 2): 2, -1: 1})
+        assert x.scale(s).coefficient([2]) == x.coefficient([2]) * s
+
+    def test_integral_coefficients_stored_as_int(self):
+        # the slices keep plain ints wherever a value is integral, so the
+        # raising operators run in integer arithmetic
+        x = FockVector({Partition([2]): LaurentScalar({0: Fraction(3, 2), 1: 2})})
+        y = b_tau([1], 2, x.scale(2))
+        assert {type(c) for s in y._g.values() for c in s.values()} == {int}
+        assert {type(c) for s in x._g.values() for c in s.values()} == {int, Fraction}
 
 
 class TestBOp:
@@ -252,7 +271,9 @@ _TAUS = [tau for tau in partitions_upto(4) if tau]
 
 
 @st.composite
-def modp_case(draw):
+def vector_case(draw):
+    """(b, x): b in {2, 3} and a vector of 1-6 terms with |eta| <= 5,
+    rational coefficients and v-exponents in (1/(2b))Z."""
     b = draw(st.sampled_from((2, 3)))
     exponent_st = st.integers(min_value=-12, max_value=12).map(
         lambda k: Fraction(k, 2 * b)
@@ -268,9 +289,40 @@ def modp_case(draw):
             max_size=6,
         )
     )
+    return b, FockVector(terms)
+
+
+@st.composite
+def modp_case(draw):
+    b, x = draw(vector_case())
     tau = draw(st.sampled_from(_TAUS))
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    return tau, b, p, FockVector(terms)
+    return tau, b, p, x
+
+
+class TestVectorProperties:
+    @given(vector_case(), st.sampled_from([tau for tau in _TAUS if tau.size <= 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_b_tau_matches_pieri_route(self, case, tau):
+        b, x = case
+        g = symfunc.plethysm_pb(symfunc.SymFunc.schur(tau), b)
+        want = FockVector.zero()
+        for eta, coeff in x.terms():
+            prod = symfunc.schur_multiply(g, symfunc.SymFunc.schur(eta))
+            want = want + FockVector(
+                {lam: coeff * LaurentScalar.from_rational(c) for lam, c in prod.terms.items()}
+            )
+        assert b_tau(tau, b, x) == want
+
+    @given(vector_case(), st.integers(min_value=-6, max_value=6))
+    @settings(max_examples=80, deadline=None)
+    def test_round_trips(self, case, k):
+        b, x = case
+        assert FockVector.from_json(json.loads(json.dumps(x.to_json()))) == x
+        assert x.scale(Fraction(1, 2)).scale(2) == x
+        assert (x - x).is_zero()
+        e = Fraction(k, 2 * b)
+        assert x.shift(e).min_exponent() == x.min_exponent() + e
 
 
 class TestHeisModPOracle:
@@ -279,6 +331,44 @@ class TestHeisModPOracle:
     def test_closed_form_matches_koszul_layers(self, case):
         tau, b, p, x = case
         assert heis_modp(tau, b, p, x) == oracles.heis_modp_koszul(tau, b, p, x)
+
+    def test_slices_meeting_at_one_exponent(self):
+        # the v^0 and v^{bp} slices both feed the exponents bp and 2bp
+        x = FockVector(
+            {
+                Partition([2, 1]): LaurentScalar({0: 1, 6: Fraction(-1, 2)}),
+                Partition([1]): LaurentScalar({6: 3}),
+            }
+        )
+        assert heis_modp([2], 2, 3, x) == oracles.heis_modp_koszul([2], 2, 3, x)
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        for n in range(-3, 5000):
+            assert is_prime(n) == (n > 1 and all(n % d for d in range(2, int(n**0.5) + 1)))
+
+    def test_pseudoprimes(self):
+        # Carmichael numbers, a strong pseudoprime to the bases 2, 3, 5, 7,
+        # and psi_12, the least strong pseudoprime to the first 12 primes
+        for n in (561, 41041, 825265, 3215031751, 318665857834031151167461):
+            assert not is_prime(n)
+
+    def test_large_primes(self):
+        for n in (2**31 - 1, 10**9 + 7, 10**18 + 3, 2**61 - 1):
+            assert is_prime(n)
+
+    def test_range(self):
+        # exact below psi_13, the least strong pseudoprime to the 13 bases
+        bound = 3317044064679887385961981
+        assert not is_prime(bound - 1)
+        for n in (bound, 2**89 - 1):
+            with pytest.raises(RangeError):
+                is_prime(n)
+
+    def test_heis_modp_rejects_composite(self):
+        with pytest.raises(InvalidInput):
+            heis_modp([1], 2, 4, FockVector.vacuum())
 
 
 class TestHeisNeg:
