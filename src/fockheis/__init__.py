@@ -33,7 +33,7 @@ from .symfunc import (
     schur_multiply,
     schur_to_power_sums,
 )
-from .fock import FockVector, LaurentScalar, b_op, b_rep, b_tau, heis_modp, heis_neg
+from .fock import FockVector, LaurentScalar, b_op, b_tau, heis_modp, heis_neg
 from .cherednik import (
     BlockId,
     HilbertSeries,
@@ -84,7 +84,6 @@ __all__ = [
     "LaurentScalar",
     "b_op",
     "b_tau",
-    "b_rep",
     "heis_modp",
     "heis_neg",
     "ParamLambda",

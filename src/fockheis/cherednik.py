@@ -17,9 +17,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor, gcd
+from math import floor, gcd
 
-from . import fock, schar, young
+from . import fock, young
 from .errors import (
     InvalidInput,
     InvalidParam,
@@ -33,7 +33,6 @@ from .partitions import (
     content_sum,
     coprime_decompose,
     d_stat,
-    partitions_of,
     partwise_add,
     transpose,
 )
@@ -300,44 +299,29 @@ class HilbertSeries:
         return {"offset": str(self.offset), "coeffs": list(self.coeffs)}
 
 
-def _perm_series(mu: tuple, max_deg: int) -> list[int]:
-    # [q^d] prod_{k in mu} 1/(1 - q^k), d <= max_deg
-    out = [0] * (max_deg + 1)
-    out[0] = 1
-    for k in mu:
-        for d in range(k, max_deg + 1):
-            out[d] += out[d - k]
-    return out
-
-
 def verma_hilbert(eta, m, max_deg: int) -> HilbertSeries:
     """Graded dimension series of the spherical standard module for (eta, m).
 
     Coefficient of q^(m+d) is the multiplicity of eta inside the degree-d
-    part of the polynomial ring on the permutation representation, computed
-    by exact character inner products.  The first nonzero coefficient sits
-    at q^(m + d_eta).
+    part of the polynomial ring on the permutation representation, the
+    principal specialization s_eta(1, q, q^2, ...) = q^{d_eta} /
+    prod_{c in eta} (1 - q^{h(c)}) over the hook lengths h(c) (Stanley,
+    Enumerative Combinatorics 2, Cor. 7.21.3).  The first nonzero
+    coefficient sits at q^(m + d_eta).
     """
     eta = Partition(eta)
     if max_deg < 0:
         raise RangeError(f"max_deg must be nonnegative, got {max_deg}")
-    n = eta.size
-    n_fact = factorial(n)
     coeffs = [0] * (max_deg + 1)
-    for mu in partitions_of(n):
-        weight = schar.class_size(mu) * schar.character_value(eta, mu)
-        if not weight:
-            continue
-        series = _perm_series(tuple(mu), max_deg)
-        for d in range(max_deg + 1):
-            coeffs[d] += weight * series[d]
-    out = []
-    for d, c in enumerate(coeffs):
-        q, r = divmod(c, n_fact)
-        if r:
-            raise ArithmeticError(f"non-integral multiplicity at degree {d}")
-        out.append(q)
-    return HilbertSeries(Fraction(m), tuple(out))
+    if d_stat(eta) <= max_deg:
+        coeffs[d_stat(eta)] = 1
+    cols = transpose(eta)
+    for i, row in enumerate(eta):
+        for j in range(row):
+            h = row - j + cols[j] - i - 1
+            for d in range(h, max_deg + 1):  # times 1 / (1 - q^h)
+                coeffs[d] += coeffs[d - h]
+    return HilbertSeries(Fraction(m), tuple(coeffs))
 
 
 def leading_term(vec: "fock.FockVector"):

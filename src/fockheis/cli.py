@@ -9,7 +9,9 @@ and the coprime-to-b character pipeline.
 Exit codes: 0 success, 2 input validation error, 3 domain error.  Where a
 brute-force reference path exists, --oracle recomputes the result with it
 and fails loudly on any difference.  The operator subcommands call
-fock.b_op, fock.b_tau and fock.heis_modp, the last in closed form.
+fock.b_op, fock.b_tau and fock.heis_modp, the last in closed form; the
+--oracle of heis-modp and pipeline recomputes through the Koszul layers,
+oracles.heis_modp_koszul.
 """
 
 from __future__ import annotations
@@ -259,7 +261,12 @@ def cmd_heis_modp(args) -> None:
     x = _input_vector(args)
     tau = parse_partition(args.tau)
     out = fock.heis_modp(tau, args.b, args.p, x)
-    emit(out.to_json())
+    payload = out.to_json()
+    if args.oracle:
+        if oracles.heis_modp_koszul(tau, args.b, args.p, x) != out:
+            _oracle_mismatch(payload, "Koszul layers differ")
+        payload["oracle_checked"] = True
+    emit(payload)
 
 
 def cmd_label_image(args) -> None:
@@ -319,12 +326,20 @@ def cmd_pipeline(args) -> None:
         if not args.table:
             raise InvalidInput("supply --table JSON or --unit-table")
         data = _parse_json_arg(args.table)
-        table = {
-            Partition(entry["mu"]): fock.FockVector.from_json(entry["vector"])
-            for entry in data["entries"]
-        }
+        try:
+            table = {
+                Partition.from_json(entry["mu"]): fock.FockVector.from_json(entry["vector"])
+                for entry in data["entries"]
+            }
+        except (KeyError, TypeError) as exc:
+            raise InvalidInput(f"malformed table JSON: {data!r}") from exc
     out = cherednik.character_pipeline(eta, lam, args.p, table)
-    emit(out.to_json())
+    payload = out.to_json()
+    if args.oracle:
+        if oracles.character_pipeline_koszul(eta, lam.b, args.p, table) != out:
+            _oracle_mismatch(payload, "Koszul layers differ")
+        payload["oracle_checked"] = True
+    emit(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
+    p.add_argument("--oracle", action="store_true")
     _vector_flags(p)
     p.set_defaults(func=cmd_heis_modp)
 
@@ -435,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--table")
     p.add_argument("--unit-table", action="store_true")
+    p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=cmd_pipeline)
 
     return top

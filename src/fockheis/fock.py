@@ -16,21 +16,26 @@ Operators:
 
 * b_op(i, b, .)       multiplication by the power sum p_{i b},
 * b_tau(tau, b, .)    multiplication by the plethysm s_tau[p_b],
-* b_rep(U, b)         linear combination of b_tau over the irreducible
-                      constituents of a virtual representation U,
 * heis_modp           the graded operator sum_i (-1)^i v^{b p i}
                       b_{tau (x) Lambda^i} coming from a Koszul resolution
                       in characteristic p,
 * heis_neg            the conjectural transposed-basis variant, gated
                       behind an explicit flag.
 
-Multiplication by s_tau[p_b] is evaluated through the power-sum pivot
-(border-strip chains weighted by characters); the agreement with the
-iterated-Pieri product of symfunc is part of the test suite.  heis_modp
-uses the same pivot in closed form, multiplication by sum_rho chi_tau(rho)/
+Multiplication by s_tau[p_b] is evaluated through the power-sum pivot,
+s_tau[p_b] = sum_rho chi_tau(rho)/z_rho p_{b rho}: for every rho |- |tau|
+the chain of power sums p_{b rho} acts on s_eta as bead slides on the
+beta-set layer of young (young.strip_chain_masks, which shares chain
+prefixes across rho and across sizes), and the chains are summed with
+their character weights in one pass (_chain_sum).  heis_modp runs the same
+pass with one weight per grade, multiplication by sum_rho chi_tau(rho)/
 z_rho prod_{k in rho} (1 - v^{b p k}) p_{b rho} (Macdonald, Symmetric
 Functions and Hall Polynomials, I 7-8), which vanishes at v = 1 by
-construction; oracles.heis_modp_koszul keeps the Koszul layers as reference.
+construction.  Partitions are built once per output mask
+(young.mask_shape).  b_tau is checked against the iterated-Pieri product
+of symfunc.plethysm_pb, which shares no strip kernel with this route;
+heis_modp is checked against oracles.heis_modp_koszul, the Koszul layers
+assembled from b_tau through Kronecker products and exterior powers.
 """
 
 from __future__ import annotations
@@ -409,15 +414,12 @@ def b_op(i: int, b: int, x: FockVector) -> FockVector:
     if b < 1:
         raise InvalidInput(f"b must be a positive integer, got {b}")
     r = i * b
-    wrap = Partition._from_trusted
-    return x.map_basis(
-        lambda eta: [(wrap(mu), k) for mu, k in young.powersum_times_basis(r, eta)]
-    )
+    return x.map_basis(lambda eta: _b_op_on_basis(r, eta))
 
 
 @cache
 def _plethysm_power_form(tau: tuple, b: int) -> tuple:
-    """d! * s_tau[p_b] in the power-sum basis: ((chain, weight), ...), d = |tau|.
+    """d! * s_tau[p_b] in the power-sum basis: ((chain, (weight,)), ...), d = |tau|.
 
     chain is b*rho sorted descending; weight = chi_tau(rho) * d!/z_rho.
     """
@@ -427,33 +429,72 @@ def _plethysm_power_form(tau: tuple, b: int) -> tuple:
         chi = young.mn_character(tau, tuple(rho))
         if chi:
             chain = tuple(sorted((b * x for x in rho), reverse=True))
-            out.append((chain, chi * schar.class_size(rho)))
+            out.append((chain, (chi * schar.class_size(rho),)))
     return tuple(out)
 
 
-def _integer_terms(acc: dict, den: int) -> tuple:
-    """The nonzero entries of {mu: c / den} as ((Partition, int), ...); c / den
-    is integral."""
+@cache
+def _modp_power_form(tau: tuple, b: int) -> tuple:
+    """d! * s_tau[p_b] with the chain b*rho weighted by its _plethysm_power_form
+    weight times the coefficient of s^j in prod_{k in rho} (1 - s^k), one
+    weight per j = 0..d: ((chain, (w_0, ..., w_d)), ...)."""
     out = []
-    for mu, c in acc.items():
-        if c:
-            q, r = divmod(c, den)
-            if r:
-                raise ArithmeticError(
-                    f"non-integer coefficient {Fraction(c, den)} in plethysm multiplication"
-                )
-            out.append((Partition._from_trusted(mu), q))
+    for chain, (weight,) in _plethysm_power_form(tau, b):
+        weights = [weight] + [0] * sum(tau)
+        top = 0
+        for part in chain:
+            k = part // b
+            top += k
+            for j in range(top, k - 1, -1):
+                weights[j] -= weights[j - k]
+        out.append((chain, tuple(weights)))
     return tuple(out)
+
+
+def _chain_sum(form: tuple, eta: tuple, den: int) -> tuple:
+    """Kernels (K_0, K_1, ...) with K_j(s_eta) = sum over (chain, weights) in
+    form of weights[j] / den * p_chain * s_eta, each ((Partition, int), ...).
+
+    Every coefficient is a multiple of den; the chains come from the beta-set
+    layer of young, and each output mask is read back as a partition once.
+    """
+    layers: list[dict[int, int]] = [{} for _ in form[0][1]]
+    for chain, weights in form:
+        terms = young.strip_chain_masks(eta, chain).items()
+        for layer, w in zip(layers, weights):
+            if w:
+                get = layer.get
+                for m, c in terms:
+                    layer[m] = get(m, 0) + w * c
+    shapes: dict[int, Partition] = {}  # one mask_shape call per mask
+    out = []
+    for layer in layers:
+        kernel = []
+        for m, c in layer.items():
+            if c:
+                q, r = divmod(c, den)
+                if r:
+                    raise ArithmeticError(
+                        f"non-integer coefficient {Fraction(c, den)} in plethysm multiplication"
+                    )
+                mu = shapes.get(m)
+                if mu is None:
+                    mu = shapes[m] = young.mask_shape(m)
+                kernel.append((mu, q))
+        out.append(tuple(kernel))
+    return tuple(out)
+
+
+@cache
+def _b_op_on_basis(r: int, eta: tuple) -> tuple:
+    """Schur expansion of p_r * s_eta as ((Partition, int), ...)."""
+    return _chain_sum((((r,), (1,)),), eta, 1)[0]
 
 
 @cache
 def _b_tau_on_basis(tau: tuple, b: int, eta: tuple) -> tuple:
     """Schur expansion of s_tau[p_b] * s_eta as ((Partition, int), ...)."""
-    acc: dict[tuple, int] = {}
-    for chain, w in _plethysm_power_form(tau, b):
-        for mu, k in young.powersum_chain_on_basis(chain, eta):
-            acc[mu] = acc.get(mu, 0) + w * k
-    return _integer_terms(acc, factorial(sum(tau)))
+    return _chain_sum(_plethysm_power_form(tau, b), eta, factorial(sum(tau)))[0]
 
 
 def b_tau(tau, b: int, x: FockVector) -> FockVector:
@@ -467,43 +508,11 @@ def b_tau(tau, b: int, x: FockVector) -> FockVector:
     return x.map_basis(lambda eta: _b_tau_on_basis(key, b, eta))
 
 
-def b_rep(U: schar.VirtualRep, b: int):
-    """Operator sum_sigma mult_U(sigma) * b_tau(sigma, b, .)."""
-    if b < 1:
-        raise InvalidInput(f"b must be a positive integer, got {b}")
-    terms = list(U.terms.items())
-
-    def apply(x: FockVector) -> FockVector:
-        acc = FockVector.zero()
-        for sigma, mult in terms:
-            acc = acc + b_tau(sigma, b, x).scale(mult)
-        return acc
-
-    return apply
-
-
 @cache
 def _heis_modp_on_basis(tau: tuple, b: int, eta: tuple) -> tuple:
-    """Kernels (K_0, ..., K_d) with heis_modp(s_eta) = sum_j v^{b p j} K_j(s_eta).
-
-    The chain b*rho enters K_j with its _plethysm_power_form weight times the
-    coefficient of s^j in prod_{k in rho} (1 - s^k), over the denominator d!.
-    """
-    acc: list[dict[tuple, int]] = [{} for _ in range(sum(tau) + 1)]
-    for chain, weight in _plethysm_power_form(tau, b):
-        weights = [weight]
-        for part in chain:
-            k = part // b
-            weights += [0] * k
-            for j in range(len(weights) - 1, k - 1, -1):
-                weights[j] -= weights[j - k]
-        terms = young.powersum_chain_on_basis(chain, eta)
-        for layer, w in zip(acc, weights):
-            if w:
-                for mu, c in terms:
-                    layer[mu] = layer.get(mu, 0) + w * c
-    n_fact = factorial(sum(tau))
-    return tuple(_integer_terms(layer, n_fact) for layer in acc)
+    """Kernels (K_0, ..., K_d) with heis_modp(s_eta) = sum_j v^{b p j} K_j(s_eta),
+    the chains weighted by _modp_power_form over the denominator d!."""
+    return _chain_sum(_modp_power_form(tau, b), eta, factorial(sum(tau)))
 
 
 # The first 13 primes as Miller-Rabin bases decide primality exactly below

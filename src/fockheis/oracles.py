@@ -5,8 +5,9 @@ route as close to the defining combinatorics as possible: tableau
 enumeration for Littlewood-Richardson numbers, Gram-Schmidt on permutation
 characters for character tables, explicit matrices for exterior powers,
 monomial enumeration for polynomial identities, Koszul layers for the
-graded mod-p operator.  They back the --oracle mode of the command line
-tool and the dual-path checks in the test suite.
+graded mod-p operator and the character pipeline built on it.  They back
+the --oracle mode of the command line tool and the dual-path checks in
+the test suite.
 Nothing here is optimized; keep inputs small.
 """
 
@@ -19,7 +20,7 @@ from math import factorial
 
 from . import fock, schar
 from .errors import InvalidInput
-from .partitions import Partition, canonical_key, partitions_of
+from .partitions import Partition, canonical_key, coprime_decompose, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +245,21 @@ def exterior_power_hook_form(d: int, i: int) -> "schar.VirtualRep":
 # the graded mod-p operator layer by layer
 
 
+def b_rep(U: "schar.VirtualRep", b: int):
+    """Operator sum_sigma mult_U(sigma) * b_tau(sigma, b, .)."""
+    if b < 1:
+        raise InvalidInput(f"b must be a positive integer, got {b}")
+    terms = list(U.terms.items())
+
+    def apply(x: "fock.FockVector") -> "fock.FockVector":
+        acc = fock.FockVector.zero()
+        for sigma, mult in terms:
+            acc = acc + fock.b_tau(sigma, b, x).scale(mult)
+        return acc
+
+    return apply
+
+
 @cache
 def _koszul_layer(tau: tuple, i: int) -> "schar.VirtualRep":
     """Decomposition of tau (x) Lambda^i of the permutation representation."""
@@ -257,9 +273,23 @@ def heis_modp_koszul(tau, b: int, p: int, x: "fock.FockVector") -> "fock.FockVec
     acc = fock.FockVector.zero()
     for i in range(tau.size + 1):
         U = _koszul_layer(tuple(tau), i)
-        piece = fock.b_rep(U, b)(x).shift(Fraction(b * p * i))
+        piece = b_rep(U, b)(x).shift(Fraction(b * p * i))
         acc = acc + piece if i % 2 == 0 else acc - piece
     return acc
+
+
+def character_pipeline_koszul(eta, b: int, p: int, coprime_table: dict) -> "fock.FockVector":
+    """cherednik.character_pipeline with heis_modp_koszul in place of
+    fock.heis_modp, for a parameter with denominator b and a table the
+    pipeline has accepted."""
+    eta = Partition(eta)
+    table = {Partition(k): v for k, v in coprime_table.items()}
+    mu, tau = (Partition(), eta) if b == 1 else coprime_decompose(eta, b)
+    if not tau:
+        return table[eta]
+    y = heis_modp_koszul(tau, b, p, table[mu])
+    e = y.min_exponent()
+    return y if e is None or e == 0 else y.shift(-e)
 
 
 # ---------------------------------------------------------------------------

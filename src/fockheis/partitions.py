@@ -19,8 +19,9 @@ from .errors import InvalidInput, NotAPartition
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers.
 
-    Trailing zeros are stripped on construction; anything else that is not
-    weakly decreasing and positive is rejected::
+    Parts must be ints (not bools).  Trailing zeros are stripped on
+    construction; anything else that is not weakly decreasing and positive
+    is rejected::
 
       >>> Partition([4, 1])
       Partition(4, 1)
@@ -33,7 +34,10 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        parts = tuple(int(x) for x in parts)
+        parts = tuple(parts)
+        for x in parts:
+            if type(x) is not int:  # bool and float parts are rejected too
+                raise InvalidInput(f"partition parts must be integers, got {x!r}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         prev = None

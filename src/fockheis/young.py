@@ -11,13 +11,29 @@ Two independent multiplication routes live here on purpose:
   the diagram is shorter).
 * Schur times power sum goes through signed border-strip addition.
 
-The border-strip enumeration below parameterizes a strip by the interval of
-rows it occupies; each row interval supports at most one valid strip.
+Border strips are added by two independent enumerations:
+
+* The beta-set (abacus) layer serves the raising operators of fock.  A
+  partition lam with N beads is the int bitmask with bit lam_i + N - i set
+  for each row i (Macdonald, Symmetric Functions and Hall Polynomials,
+  I 1 Ex. 8).  Adding a border strip of size r slides one bead from x to
+  x + r; the movable beads are the set bits of m & ~(m >> r), and the
+  height of the strip is the number of beads strictly between x and x + r.
+  strip_chain_masks multiplies by a whole chain of power sums and shares
+  the chain's prefixes; mask_shape reads the Partition back from a mask.
+* The row-interval enumeration (add_border_strips, powersum_times_basis,
+  powersum_chain_on_basis) parameterizes a strip by the interval of rows it
+  occupies; each row interval supports at most one valid strip.  It serves
+  symfunc, so the plethysm route that checks the raising operators does
+  not share their strip enumeration.  Border-strip removal, for the
+  Murnaghan-Nakayama characters, is row-interval only.
 """
 
 from __future__ import annotations
 
 from functools import cache
+
+from .partitions import Partition
 
 
 def _strip_trailing_zeros(parts: list[int]) -> tuple[int, ...]:
@@ -287,6 +303,71 @@ def powersum_chain_on_basis(rho: tuple, lam: tuple) -> tuple:
         for nu, cc in powersum_times_basis(r, mu):
             acc[nu] = acc.get(nu, 0) + c * cc
     return tuple((mu, c) for mu, c in acc.items() if c != 0)
+
+
+# ---------------------------------------------------------------------------
+# beta-set (abacus) layer: power-sum chains as bead slides
+
+
+def _mask(lam: tuple, n: int) -> int:
+    """The beta-set of lam with n >= len(lam) beads, as an int bitmask."""
+    m = 0
+    for i in range(n):
+        m |= 1 << ((lam[i] if i < len(lam) else 0) + n - 1 - i)
+    return m
+
+
+@cache
+def mask_shape(m: int) -> Partition:
+    """The partition whose beta-set is the bitmask m (any number of beads).
+
+    A bead's part is the number of gaps below it; beads with no gap below
+    are the zero parts.  Returns a Partition, built once per mask.
+    """
+    bits = bin(m)[2:].rstrip("1")
+    below = bits.count("0")
+    parts = []
+    for bit in bits:
+        if bit == "0":
+            below -= 1
+        else:
+            parts.append(below)
+    return Partition._from_trusted(tuple(parts))
+
+
+@cache
+def strip_chain_masks(lam: tuple, strips: tuple) -> dict:
+    """Schur expansion of p_strips * s_lam as {mask: coeff}, signs included.
+
+    The masks are beta-sets with len(lam) + sum(strips) beads; read them with
+    mask_shape.  strips should be sorted descending, so chains share their
+    prefixes across calls.  Each step pads r beads at the bottom, room for
+    a strip that adds rows below the diagram, then slides every movable
+    bead by r.  The returned dict is shared by the cache: do not mutate it.
+    """
+    if not strips:
+        return {_mask(lam, len(lam)): 1}
+    r = strips[-1]
+    if r < 1:
+        raise ValueError(f"strip size must be positive, got {r}")
+    pad = (1 << r) - 1
+    acc: dict[int, int] = {}
+    get = acc.get
+    for m, c in strip_chain_masks(lam, strips[:-1]).items():
+        m = (m << r) | pad
+        free = m & ~(m >> r)
+        while free:
+            low = free & -free
+            free ^= low
+            top = low << r
+            nu = m ^ low ^ top
+            # beads strictly between x and x + r: one per row of the strip
+            # below its top row
+            if (m & (top - (low << 1))).bit_count() & 1:
+                acc[nu] = get(nu, 0) - c
+            else:
+                acc[nu] = get(nu, 0) + c
+    return {m: c for m, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from fockheis import fock, oracles
+from fockheis import fock, oracles, schar
 from fockheis.cherednik import (
     ParamLambda,
     SimpleLabel,
@@ -348,6 +349,22 @@ class TestVermaHilbert:
     def test_empty_partition(self):
         h = verma_hilbert([], 0, 3)
         assert h.coeffs == (1, 0, 0, 0)
+
+    def test_matches_character_inner_products(self):
+        # (1/n!) sum_mu |C_mu| chi_eta(mu) prod_{k in mu} 1/(1 - q^k), the
+        # character sum the hook-length product replaces
+        for eta in partitions_upto(6):
+            total = [0] * 21
+            for mu in partitions_of(eta.size):
+                series = [1] + [0] * 20
+                for k in mu:
+                    for d in range(k, 21):
+                        series[d] += series[d - k]
+                weight = schar.class_size(mu) * schar.character_value(eta, mu)
+                total = [t + weight * c for t, c in zip(total, series)]
+            n_fact = factorial(eta.size)
+            assert all(t % n_fact == 0 for t in total)
+            assert verma_hilbert(eta, 0, 20).coeffs == tuple(t // n_fact for t in total)
 
 
 class TestCharacterPipeline:

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from fockheis import oracles
 from fockheis.cli import main, parse_partition
 from fockheis.errors import InvalidInput
+from fockheis.fock import FockVector
 from fockheis.partitions import Partition
 
 
@@ -245,6 +247,66 @@ class TestSubcommands:
         assert mus == [[3], [2, 1], [1, 1, 1]]
 
 
+RATIONAL_X = json.dumps(
+    {
+        "terms": [
+            {"mu": [2, 1], "coeff": {"monomials": [{"vexp": "0", "c": "1/2"}, {"vexp": "1/2", "c": "-3"}]}},
+            {"mu": [1], "coeff": {"monomials": [{"vexp": "1", "c": "2"}]}},
+            {"mu": [3], "coeff": {"monomials": [{"vexp": "3/2", "c": "-1"}]}},
+        ]
+    }
+)
+
+# the class of the empty partition at v^{3/2}: the pipeline shifts its
+# output back to v^0
+SHIFTED_TABLE = json.dumps(
+    {
+        "entries": [
+            {
+                "mu": [],
+                "vector": {"terms": [{"mu": [], "coeff": {"monomials": [{"vexp": "3/2", "c": "2"}]}}]},
+            }
+        ]
+    }
+)
+
+
+class TestKoszulOracle:
+    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heis-modp", "--tau", "2,1", "--p", "5", "--x", RATIONAL_X],
+            ["heis-modp", "--tau", "2", "--p", "7", "--eta", "3,1"],
+            ["pipeline", "--eta", "7,5,2", "--a", "1", "--p", "5", "--unit-table"],
+            ["pipeline", "--eta", "6", "--a", "5", "--p", "7", "--table", SHIFTED_TABLE],
+        ],
+        ids=["heis-modp-rational", "heis-modp-basis", "pipeline", "pipeline-shifted"],
+    )
+    def test_oracle_agrees(self, capsys, argv, b):
+        code, plain, _ = run(capsys, *argv, "--b", str(b))
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--b", str(b), "--oracle")
+        assert code == 0
+        data = json.loads(out)
+        assert data.pop("oracle_checked") is True
+        assert data == json.loads(plain) and data["terms"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heis-modp", "--tau", "1", "--b", "2", "--p", "5", "--eta", "1"],
+            ["pipeline", "--eta", "3", "--a", "1", "--b", "2", "--p", "5", "--unit-table"],
+        ],
+        ids=["heis-modp", "pipeline"],
+    )
+    def test_mismatch_is_3(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(oracles, "heis_modp_koszul", lambda *args: FockVector.vacuum())
+        code, out, err = run(capsys, *argv, "--oracle")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "oracle mismatch"
+
+
 class TestExitCodes:
     def test_input_error_is_2(self, capsys):
         code, _, err = run(capsys, "partition", "stats", "--eta", "1,3")
@@ -286,6 +348,42 @@ class TestExitCodes:
     )
     def test_zero_denominator_in_json_is_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("part", ['"a"', "1.5", "true"], ids=["string", "float", "bool"])
+    @pytest.mark.parametrize(
+        "argv, template",
+        [
+            (["heis", "b-op", "--i", "1", "--b", "2", "--x"],
+             '{"terms":[{"mu":[%s],"coeff":{"monomials":[{"vexp":"0","c":"1"}]}}]}'),
+            (["symfunc", "plethysm", "--b", "2", "--f"],
+             '{"basis":"schur","terms":[{"mu":[%s],"coeff":"1"}]}'),
+        ],
+        ids=["vector", "symfunc"],
+    )
+    def test_non_integer_part_in_json_is_2(self, capsys, argv, template, part):
+        code, out, err = run(capsys, *argv, template % part)
+        assert code == 2 and out == ""
+        assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            '{"entries":[{"mu":["a"],"vector":{"terms":[]}}]}',
+            '{"entries":[{"mu":[1.5],"vector":{"terms":[]}}]}',
+            '{"entries":[{"mu":[true],"vector":{"terms":[]}}]}',
+            '{"entries":[{"mu":5,"vector":{"terms":[]}}]}',
+            '{"entries":[{"vector":{"terms":[]}}]}',
+            '{"rows":[]}',
+            '[1]',
+        ],
+        ids=["string", "float", "bool", "not-a-list", "no-mu", "no-entries", "not-an-object"],
+    )
+    def test_malformed_table_is_2(self, capsys, table):
+        code, out, err = run(
+            capsys, "pipeline", "--eta", "2", "--a", "1", "--b", "2", "--p", "5", "--table", table
+        )
         assert code == 2 and out == ""
         assert "error" in json.loads(err)
 

@@ -13,12 +13,12 @@ from fockheis.fock import (
     FockVector,
     LaurentScalar,
     b_op,
-    b_rep,
     b_tau,
     heis_modp,
     heis_neg,
     is_prime,
 )
+from fockheis.oracles import b_rep
 from fockheis.partitions import Partition, partitions_of, partitions_upto, transpose
 from fockheis.schar import VirtualRep, induction_product
 

@@ -38,6 +38,11 @@ class TestPartitionType:
         with pytest.raises(InvalidInput):
             Partition([2, 0, 1])
 
+    @pytest.mark.parametrize("part", ["a", "2", 1.5, 2.0, True, None])
+    def test_rejects_non_integer_part(self, part):
+        with pytest.raises(InvalidInput):
+            Partition([part])
+
     def test_size_and_parts(self):
         eta = Partition([4, 1])
         assert eta.size == 5
